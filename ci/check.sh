@@ -83,6 +83,27 @@ for delta in off on; do
 done
 echo "    resumed digests match across delta x engines x workers: $engine_digest"
 
+echo "==> solver-work gate: reference digests and query counts, workers {1,2}"
+# Deterministic work counters only, never wall time: each symbolic
+# branch of branching_firmware(K) costs exactly two feasibility queries,
+# 2*(2^K - 1) in all, whichever engine runs and however queries are
+# sliced underneath.
+for spec in "demo 0x5ad607065cea53c4 14" "demo:5 0xd350a3c64fea6745 62" "demo:7 0x53b187ad7b00097f 254"; do
+    read -r fw want_digest want_queries <<< "$spec"
+    for w in 1 2; do
+        out="target/solver-work.$fw.$w.txt"
+        cargo run -q --release --offline -p hardsnap-bench --bin hardsnap-cli -- \
+            analyze "$fw" --workers "$w" > "$out"
+        d=$(grep 'canonical digest' "$out" | awk '{print $NF}')
+        q=$(grep 'solver queries' "$out" | awk '{print $NF}')
+        if [ "$d" != "$want_digest" ] || [ "$q" != "$want_queries" ]; then
+            echo "analyze $fw --workers $w: digest '$d' queries '$q', want $want_digest and $want_queries"
+            exit 1
+        fi
+    done
+done
+echo "    digests and solver queries match the references"
+
 echo "==> snapshot-persistence smoke run (lazy restore + RAM budget + campaign resume)"
 # exp_snapshot_persist asserts internally that a quiescent lazy resume
 # pages in zero sections and beats the eager restore >= 5x on sim, that

@@ -395,7 +395,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
     if trace_out.is_some() || metrics_out.is_some() {
         config.telemetry.enabled = true;
     }
-    let (result, queries, store): (RunResult, Option<u64>, (StoreStats, usize)) = if workers > 1 {
+    let (result, queries, store): (RunResult, u64, (StoreStats, usize)) = if workers > 1 {
         let mut engine = ParallelEngine::new(target.as_ref(), workers, config)?;
         match resume_dir {
             Some(dir) => resume_parallel(Path::new(dir), &mut engine)?,
@@ -406,8 +406,9 @@ fn cmd_analyze(args: &[String]) -> CliResult {
             snapshot_parallel(Path::new(dir), &mut engine, &r)?;
             println!("campaign saved to {dir}/");
         }
+        let q = engine.executor.solver.stats.queries;
         let st = (engine.store.stats(), engine.store.peak_bytes());
-        (r, None, st)
+        (r, q, st)
     } else {
         let mut engine = Engine::new(target, config);
         match resume_dir {
@@ -421,7 +422,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         }
         let q = engine.executor.solver.stats.queries;
         let st = (engine.store.stats(), engine.store.peak_bytes());
-        (r, Some(q), st)
+        (r, q, st)
     };
     println!("paths completed : {}", result.metrics.paths_completed);
     println!("instructions    : {}", result.instructions);
@@ -437,9 +438,7 @@ fn cmd_analyze(args: &[String]) -> CliResult {
         "snapshot store  : spills {} / page-ins {} / resident peak {} bytes",
         st.spills, st.page_ins, peak
     );
-    if let Some(q) = queries {
-        println!("solver queries  : {q}");
-    }
+    println!("solver queries  : {queries}");
     println!(
         "faults          : injected {} / retried {} / recovered {} / quarantined {}",
         result.faults.injected,

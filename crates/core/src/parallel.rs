@@ -36,7 +36,9 @@ use crate::engine::{
 use crate::snapshots::{SnapId, SnapshotStore};
 use crate::supervise::{FaultSummary, Supervisor};
 use hardsnap_bus::{BusError, HwSnapshot, HwTarget, SnapshotCapture, SnapshotDelta, TargetError};
-use hardsnap_symex::{BugReport, Executor, PortableState, StepOutcome, SymMmio, SymState};
+use hardsnap_symex::{
+    BugReport, Executor, PortableState, SolverStats, StepOutcome, SymMmio, SymState,
+};
 use hardsnap_telemetry::{Counter, Metric, MetricsSnapshot, Recorder};
 use hardsnap_util::sync::{scope, Mutex};
 use std::collections::{HashSet, VecDeque};
@@ -114,6 +116,8 @@ struct WorkerOutput {
     faults: FaultSummary,
     /// Unrecoverable-fault records, each naming the state it killed.
     fatal: Vec<String>,
+    /// This worker's solver statistics.
+    solver: SolverStats,
     /// This worker's telemetry (its own trace track), `None` when
     /// telemetry is disabled.
     telemetry: Option<MetricsSnapshot>,
@@ -182,7 +186,8 @@ impl SymMmio for ReplicaMmio<'_> {
 pub struct ParallelEngine {
     /// Merge-side executor: completed paths are imported into this pool
     /// (sorted by state id) so callers can inspect them exactly as with
-    /// the sequential engine.
+    /// the sequential engine. Its solver statistics accumulate the
+    /// workers' after each run.
     pub executor: Executor,
     /// The shared, lock-sharded snapshot store.
     pub store: SnapshotStore,
@@ -396,6 +401,7 @@ impl ParallelEngine {
             self.worker_vtimes_ns.push(o.vtime_ns);
             faults.merge(&o.faults);
             fault_log.append(&mut o.fatal);
+            self.executor.solver.stats.merge(&o.solver);
             if let Some(t) = o.telemetry.take() {
                 match &mut telemetry {
                     Some(acc) => acc.merge(t),
@@ -846,6 +852,7 @@ fn run_worker(
     out.faults.recovered = sup.recovered;
     out.faults.injected += replica.fault_stats().map(|s| s.injected()).unwrap_or(0);
     out.telemetry = rec.snapshot();
+    out.solver = ex.solver.stats;
     out
 }
 

@@ -170,14 +170,28 @@ impl Entry {
     }
 }
 
-/// Resident payload handed back by [`SnapshotStore::page_in`]. Callers
-/// consume this copy directly instead of re-reading the shard map:
-/// under a tight memory budget a concurrent `reserve` can spill the
-/// entry again the instant it lands, and a read-back retry loop then
-/// livelocks with two threads ping-ponging each other's page-ins.
-enum Paged {
-    Full(HwSnapshot),
-    Delta { base: SnapId, delta: SnapshotDelta },
+impl PersistEntry {
+    /// A copy of a resident entry's payload.
+    ///
+    /// # Panics
+    ///
+    /// On a spilled entry, which has no payload in RAM.
+    fn of(entry: &Entry) -> PersistEntry {
+        match entry {
+            Entry::Full(snap) => PersistEntry::Full(snap.clone()),
+            Entry::Delta { base, delta } => PersistEntry::Delta {
+                base: *base,
+                delta: delta.clone(),
+            },
+            _ => unreachable!("spilled entries have no resident payload"),
+        }
+    }
+}
+
+/// Where [`SnapshotStore::page_in`] finds an entry.
+enum Located {
+    Resident(PersistEntry),
+    Spilled { path: PathBuf, ram_bytes: usize },
 }
 
 #[derive(Debug)]
@@ -273,6 +287,10 @@ struct StoreInner {
     gate: Mutex<()>,
     /// Logical clock for LRU touch stamps.
     clock: AtomicU64,
+    /// Sequence for spool file names: every spill writes a file no
+    /// other spill ever used, so a page-in can tell by the path alone
+    /// whether the file it read is still the entry's backing file.
+    spill_seq: AtomicU64,
     spool: Mutex<Spool>,
 }
 
@@ -307,6 +325,7 @@ impl Default for SnapshotStore {
                 budget: AtomicUsize::new(usize::MAX),
                 gate: Mutex::new(()),
                 clock: AtomicU64::new(0),
+                spill_seq: AtomicU64::new(0),
                 spool: Mutex::new(Spool {
                     dir: None,
                     owned: false,
@@ -459,9 +478,15 @@ impl SnapshotStore {
             },
         };
         let written = self.spool_dir().and_then(|dir| {
-            let path = dir.join(format!("snap-{id}.hsnap"));
-            std::fs::write(&path, &image)
-                .map_err(|e| format!("write '{}': {e}", path.display()))?;
+            let seq = self.inner.spill_seq.fetch_add(1, Ordering::Relaxed);
+            let path = dir.join(format!("snap-{id}-{seq}.hsnap"));
+            let tmp = path.with_extension("hsnap.tmp");
+            std::fs::write(&tmp, &image)
+                .and_then(|()| std::fs::rename(&tmp, &path))
+                .map_err(|e| {
+                    let _ = std::fs::remove_file(&tmp);
+                    format!("write '{}': {e}", path.display())
+                })?;
             Ok(path)
         });
         let path = match written {
@@ -490,16 +515,10 @@ impl SnapshotStore {
             };
             let sz = s.entry.byte_size();
             if s.generation != generation || s.refs != 0 || s.hidden || sz == 0 {
-                // A concurrent spill of the same id may have won the
-                // race: both wrote the same spool path, so that path is
-                // now the entry's *live* backing file. Deleting it here
-                // would strand the entry pointing at nothing — every
-                // future page-in would fail forever.
-                let live = s.entry.spill_path() == Some(&path);
+                // Changed, pinned or already spilled meanwhile: the file
+                // is ours alone, so it simply goes.
                 drop(g);
-                if !live {
-                    let _ = std::fs::remove_file(&path);
-                }
+                let _ = std::fs::remove_file(&path);
                 return false;
             }
             s.entry = match payload {
@@ -524,112 +543,133 @@ impl SnapshotStore {
     /// checksums along the way, and returns the resident payload. The
     /// returned copy stays valid even if budget pressure immediately
     /// spills the entry again — callers must use it rather than
-    /// re-reading the map (see [`Paged`]).
+    /// re-reading the map: a concurrent `reserve` can spill the entry
+    /// again the instant it lands, and a read-back retry loop then
+    /// livelocks with two threads ping-ponging each other's page-ins.
+    ///
+    /// Between reading the entry's path and swapping the loaded image in,
+    /// other threads may page the entry in (unlinking the file), update
+    /// it, or spill it again under a new file name. The swap therefore
+    /// happens only while the entry is still spilled to the very file
+    /// that was read; a resident entry is returned as it stands, and an
+    /// entry spilled elsewhere is fetched again from its new file.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Spill`] on I/O or integrity failure (the entry
-    /// stays spilled), [`SnapshotError::Missing`] if it raced removal.
-    fn page_in(&self, id: SnapId) -> Result<Paged, SnapshotError> {
-        let (path, ram_bytes) = {
-            let shard = self.inner.shards.shard_for(id);
-            let g = shard.read();
-            match g.entries.get(&id) {
-                None => return Err(SnapshotError::Missing(id)),
-                Some(s) => match &s.entry {
-                    Entry::SpilledFull { path, ram_bytes }
-                    | Entry::SpilledDelta {
-                        path, ram_bytes, ..
-                    } => (path.clone(), *ram_bytes),
-                    // Raced: another thread already paged it in.
-                    Entry::Full(snap) => return Ok(Paged::Full(snap.clone())),
-                    Entry::Delta { base, delta } => {
-                        return Ok(Paged::Delta {
-                            base: *base,
-                            delta: delta.clone(),
-                        })
-                    }
-                },
+    /// [`SnapshotError::Spill`] on I/O or integrity failure of the
+    /// entry's current file (the entry stays spilled), or when the entry
+    /// moved on every attempt; [`SnapshotError::Missing`] if it raced
+    /// removal.
+    fn page_in(&self, id: SnapId) -> Result<PersistEntry, SnapshotError> {
+        const ATTEMPTS: usize = 64;
+        for _ in 0..ATTEMPTS {
+            let (path, ram_bytes) = match self.locate(id)? {
+                Located::Resident(paged) => return Ok(paged),
+                Located::Spilled { path, ram_bytes } => (path, ram_bytes),
+            };
+            let loaded = self.fetch(id, &path, ram_bytes);
+            if let Some(paged) = self.settle(id, &path, ram_bytes, loaded)? {
+                return Ok(paged);
             }
-        };
+        }
+        Err(SnapshotError::Spill {
+            id,
+            detail: format!("re-spilled during each of {ATTEMPTS} page-in attempts"),
+        })
+    }
+
+    /// Page-in step 1: the entry's resident payload, or where it is
+    /// spilled.
+    fn locate(&self, id: SnapId) -> Result<Located, SnapshotError> {
+        let shard = self.inner.shards.shard_for(id);
+        let g = shard.read();
+        let s = g.entries.get(&id).ok_or(SnapshotError::Missing(id))?;
+        Ok(match &s.entry {
+            Entry::SpilledFull { path, ram_bytes }
+            | Entry::SpilledDelta {
+                path, ram_bytes, ..
+            } => Located::Spilled {
+                path: path.clone(),
+                ram_bytes: *ram_bytes,
+            },
+            resident => Located::Resident(PersistEntry::of(resident)),
+        })
+    }
+
+    /// Page-in step 2: reserves the entry's resident bytes and reads and
+    /// verifies the spool file at `path`, with no lock held.
+    fn fetch(&self, id: SnapId, path: &Path, ram_bytes: usize) -> Result<Entry, SnapshotError> {
         self.reserve(ram_bytes);
         let spill_err = |detail: String| SnapshotError::Spill { id, detail };
-        let loaded = std::fs::read(&path)
-            .map_err(|e| spill_err(format!("read '{}': {e}", path.display())))
-            .and_then(|data| {
-                PersistedImage::from_bytes(&data).map_err(|e| spill_err(e.to_string()))
-            })
-            .and_then(|img| match img {
-                PersistedImage::Full(snap) => Ok(Entry::Full(snap)),
-                PersistedImage::Delta {
-                    base_ref, delta, ..
-                } => base_ref
-                    .strip_prefix("snap:")
-                    .and_then(|s| s.parse::<SnapId>().ok())
-                    .map(|base| Entry::Delta { base, delta })
-                    .ok_or_else(|| spill_err(format!("bad base reference '{base_ref}'"))),
-            });
-        let entry = match loaded {
-            Ok(e) => e,
-            Err(e) => {
-                self.inner.bytes.sub(ram_bytes);
-                // A concurrent page-in may have swapped the entry
-                // resident and unlinked the spool file between our
-                // path read and the file read — that is a win, not an
-                // error: hand back the resident payload.
-                let shard = self.inner.shards.shard_for(id);
-                let g = shard.read();
-                match g.entries.get(&id).map(|s| &s.entry) {
-                    Some(Entry::Full(snap)) => return Ok(Paged::Full(snap.clone())),
-                    Some(Entry::Delta { base, delta }) => {
-                        return Ok(Paged::Delta {
-                            base: *base,
-                            delta: delta.clone(),
-                        })
-                    }
-                    _ => return Err(e),
-                }
-            }
-        };
-        let paged = match &entry {
-            Entry::Full(snap) => Paged::Full(snap.clone()),
-            Entry::Delta { base, delta } => Paged::Delta {
-                base: *base,
-                delta: delta.clone(),
-            },
-            _ => unreachable!("spool files only persist full or delta images"),
-        };
-        let actual = entry.byte_size();
-        let swapped = {
-            let shard = self.inner.shards.shard_for(id);
-            let mut g = shard.write();
-            match g.entries.get_mut(&id) {
-                None => false,
-                Some(s) => match &s.entry {
-                    Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => {
-                        s.entry = entry;
-                        s.touch.store(self.tick(), Ordering::Relaxed);
-                        true
-                    }
-                    _ => false,
-                },
-            }
-        };
-        if !swapped {
-            // Raced a concurrent page-in or removal: undo the
-            // reservation, keep whatever state won the race. The copy
-            // we loaded is still the entry's content, so hand it back.
-            self.inner.bytes.sub(ram_bytes);
-            return Ok(paged);
+        let data = std::fs::read(path)
+            .map_err(|e| spill_err(format!("read '{}': {e}", path.display())))?;
+        match PersistedImage::from_bytes(&data).map_err(|e| spill_err(e.to_string()))? {
+            PersistedImage::Full(snap) => Ok(Entry::Full(snap)),
+            PersistedImage::Delta {
+                base_ref, delta, ..
+            } => base_ref
+                .strip_prefix("snap:")
+                .and_then(|s| s.parse::<SnapId>().ok())
+                .map(|base| Entry::Delta { base, delta })
+                .ok_or_else(|| spill_err(format!("bad base reference '{base_ref}'"))),
         }
+    }
+
+    /// Page-in step 3: swaps the image `fetch` loaded from `path` in if
+    /// the entry is still spilled to that file. `Ok(None)` means the
+    /// entry was spilled again elsewhere since `locate`, so the caller
+    /// starts over.
+    fn settle(
+        &self,
+        id: SnapId,
+        path: &Path,
+        ram_bytes: usize,
+        loaded: Result<Entry, SnapshotError>,
+    ) -> Result<Option<PersistEntry>, SnapshotError> {
+        let shard = self.inner.shards.shard_for(id);
+        let mut g = shard.write();
+        let Some(s) = g.entries.get_mut(&id) else {
+            drop(g);
+            self.inner.bytes.sub(ram_bytes);
+            return Err(SnapshotError::Missing(id));
+        };
+        match s.entry.spill_path() {
+            // Paged in (and perhaps updated) by another thread: the map
+            // holds the current content.
+            None => {
+                let paged = PersistEntry::of(&s.entry);
+                drop(g);
+                self.inner.bytes.sub(ram_bytes);
+                return Ok(Some(paged));
+            }
+            Some(live) if live != path => {
+                drop(g);
+                self.inner.bytes.sub(ram_bytes);
+                return Ok(None);
+            }
+            Some(_) => {}
+        }
+        let entry = match loaded {
+            Ok(entry) => entry,
+            Err(e) => {
+                drop(g);
+                self.inner.bytes.sub(ram_bytes);
+                return Err(e);
+            }
+        };
+        let paged = PersistEntry::of(&entry);
+        let actual = entry.byte_size();
+        s.entry = entry;
+        s.touch.store(self.tick(), Ordering::Relaxed);
+        drop(g);
         if actual > ram_bytes {
             self.inner.bytes.add(actual - ram_bytes);
         } else {
             self.inner.bytes.sub(ram_bytes - actual);
         }
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path);
         self.inner.counters.page_ins.fetch_add(1, Ordering::Relaxed);
-        Ok(paged)
+        Ok(Some(paged))
     }
 
     fn install(&self, id: SnapId, entry: Entry, hidden: bool) {
@@ -681,8 +721,8 @@ impl SnapshotStore {
                             // pressure may spill `cur` again before a
                             // re-read, and retrying would livelock.
                             match self.page_in(cur)? {
-                                Paged::Full(s) => break s,
-                                Paged::Delta { base, delta } => {
+                                PersistEntry::Full(s) => break s,
+                                PersistEntry::Delta { base, delta } => {
                                     chain.push((cur, delta));
                                     cur = base;
                                 }
@@ -1044,33 +1084,10 @@ impl SnapshotStore {
     /// [`SnapshotError::Missing`] for an unknown id,
     /// [`SnapshotError::Spill`] if a spilled entry cannot be paged in.
     pub fn export_entry(&self, id: SnapId) -> Result<PersistEntry, SnapshotError> {
-        {
-            let shard = self.inner.shards.shard_for(id);
-            let g = shard.read();
-            match g.entries.get(&id) {
-                None => return Err(SnapshotError::Missing(id)),
-                Some(stored) => {
-                    stored.touch.store(self.tick(), Ordering::Relaxed);
-                    match &stored.entry {
-                        Entry::Full(s) => return Ok(PersistEntry::Full(s.clone())),
-                        Entry::Delta { base, delta } => {
-                            return Ok(PersistEntry::Delta {
-                                base: *base,
-                                delta: delta.clone(),
-                            })
-                        }
-                        Entry::SpilledFull { .. } | Entry::SpilledDelta { .. } => {}
-                    }
-                }
-            }
+        if let Some(stored) = self.inner.shards.shard_for(id).read().entries.get(&id) {
+            stored.touch.store(self.tick(), Ordering::Relaxed);
         }
-        // Spilled: page it back in and export the returned payload
-        // directly — a map re-read could livelock under a tight budget
-        // if a concurrent reserve spills the entry straight back out.
-        match self.page_in(id)? {
-            Paged::Full(s) => Ok(PersistEntry::Full(s)),
-            Paged::Delta { base, delta } => Ok(PersistEntry::Delta { base, delta }),
-        }
+        self.page_in(id)
     }
 
     /// Point-in-time copy of the store's activity counters.
@@ -1322,6 +1339,86 @@ mod tests {
         dir
     }
 
+    /// The spool file `id` is currently spilled to.
+    fn spill_file(store: &SnapshotStore, id: SnapId) -> PathBuf {
+        match store.locate(id).unwrap() {
+            Located::Spilled { path, .. } => path,
+            Located::Resident(_) => panic!("snapshot {id} is resident"),
+        }
+    }
+
+    fn resolved(paged: PersistEntry) -> HwSnapshot {
+        match paged {
+            PersistEntry::Full(s) => s,
+            PersistEntry::Delta { .. } => panic!("expected a full image"),
+        }
+    }
+
+    /// One page-in ("A") is cut between its steps while other calls page
+    /// the same id in, update it and spill it again. A must never fail
+    /// for a file that was legitimately replaced, and never install an
+    /// image older than the entry's current content.
+    #[test]
+    fn page_in_interleaved_with_respill_of_the_same_id() {
+        let spool = test_spool("spill-race");
+        let store = SnapshotStore::new();
+        store.set_spool_dir(&spool);
+        let id = store.insert(snap(1));
+        assert!(store.spill(id));
+        let first = spill_file(&store, id);
+
+        // A reads the path; B pages in (unlinking it); A's read then
+        // finds no file, and C spills the entry again.
+        let Located::Spilled { path, ram_bytes } = store.locate(id).unwrap() else {
+            panic!("spilled");
+        };
+        assert_eq!(store.try_get(id).unwrap(), snap(1));
+        let loaded = store.fetch(id, &path, ram_bytes);
+        assert!(loaded.is_err(), "the file A located is gone");
+        assert!(store.spill(id));
+        assert_ne!(
+            spill_file(&store, id),
+            first,
+            "a re-spill writes a new file"
+        );
+        assert!(
+            store
+                .settle(id, &path, ram_bytes, loaded)
+                .unwrap()
+                .is_none(),
+            "A must start over, not report the vanished file"
+        );
+
+        // A reads the old file completely; meanwhile the entry is paged
+        // in, updated and spilled again. A's image is stale now.
+        let Located::Spilled { path, ram_bytes } = store.locate(id).unwrap() else {
+            panic!("spilled");
+        };
+        let loaded = store.fetch(id, &path, ram_bytes);
+        assert!(loaded.is_ok());
+        store.update(id, snap(2));
+        assert!(store.spill(id));
+        assert!(store
+            .settle(id, &path, ram_bytes, loaded)
+            .unwrap()
+            .is_none());
+        assert_eq!(resolved(store.page_in(id).unwrap()), snap(2));
+
+        // Updated while resident: A hands back the map's content.
+        assert!(store.spill(id));
+        let Located::Spilled { path, ram_bytes } = store.locate(id).unwrap() else {
+            panic!("spilled");
+        };
+        let loaded = store.fetch(id, &path, ram_bytes);
+        store.update(id, snap(3));
+        let paged = store.settle(id, &path, ram_bytes, loaded).unwrap();
+        assert_eq!(resolved(paged.expect("resident")), snap(3));
+
+        // Every reservation A made was returned.
+        assert_eq!(store.total_bytes(), snap(3).byte_size());
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
     #[test]
     fn budget_spills_lru_and_pages_back_in() {
         let spool = test_spool("spill-basic");
@@ -1420,7 +1517,7 @@ mod tests {
         let _hot = store.insert(snap(2)); // forces `cold` out
         assert!(store.stats().spills >= 1);
         // Corrupt the spilled file on disk.
-        let path = spool.join(format!("snap-{cold}.hsnap"));
+        let path = spill_file(&store, cold);
         let mut data = std::fs::read(&path).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0x20;
@@ -1440,7 +1537,7 @@ mod tests {
         store.set_mem_budget(Some(snap(0).byte_size() + 64));
         let cold = store.insert(snap(1));
         let _hot = store.insert(snap(2));
-        let path = spool.join(format!("snap-{cold}.hsnap"));
+        let path = spill_file(&store, cold);
         assert!(path.exists(), "cold entry should be on disk");
         // remove() resolves (paging in) and deletes; the file goes away
         // on page-in already.

@@ -145,3 +145,39 @@ fn baselines_are_rejected() {
         );
     }
 }
+
+/// The reference campaigns of `hardsnap-cli analyze demo[:K]` (one worker
+/// runs the sequential engine, more run the parallel one) keep their
+/// canonical digests, and every symbolic branch of `branching_firmware(k)`
+/// costs exactly two feasibility queries: 2·(2^k − 1) in all.
+#[test]
+fn reference_digests_and_solver_work_hold_for_every_worker_count() {
+    let config = EngineConfig {
+        mode: ConsistencyMode::HardSnap,
+        searcher: Searcher::RoundRobin,
+        ..Default::default()
+    };
+    for (k, digest) in [
+        (3, 0x5ad6_0706_5cea_53c4_u64),
+        (5, 0xd350_a3c6_4fea_6745),
+        (7, 0x53b1_87ad_7b00_097f),
+    ] {
+        let prog = hardsnap_isa::assemble(&firmware::branching_firmware(k)).unwrap();
+        for workers in [1, 2, 4] {
+            let target = SimTarget::new(hardsnap_periph::soc().unwrap()).unwrap();
+            let (result, queries) = if workers == 1 {
+                let mut engine = Engine::new(Box::new(target), config.clone());
+                engine.load_firmware(&prog);
+                let r = engine.run();
+                (r, engine.executor.solver.stats.queries)
+            } else {
+                let mut engine = ParallelEngine::new(&target, workers, config.clone()).unwrap();
+                engine.load_firmware(&prog);
+                let r = engine.run();
+                (r, engine.executor.solver.stats.queries)
+            };
+            assert_eq!(result.canonical_digest(), digest, "k={k} workers={workers}");
+            assert_eq!(queries, 2 * ((1 << k) - 1), "k={k} workers={workers}");
+        }
+    }
+}

@@ -280,6 +280,26 @@ pub struct Daemon {
     pool: Option<Arc<WarmPool>>,
     /// Daemon birth; event timestamps are ms since this instant.
     started: Instant,
+    /// Addresses the accept loops are blocked on; shutdown connects to
+    /// each so its loop wakes up and sees the flag.
+    listeners: Mutex<Vec<ListenAddr>>,
+}
+
+/// Where one of the daemon's accept loops listens.
+#[derive(Clone, Debug, PartialEq)]
+enum ListenAddr {
+    Unix(PathBuf),
+    Tcp(std::net::SocketAddr),
+}
+
+impl ListenAddr {
+    /// Connects and hangs up, which unblocks an `accept` on the address.
+    fn wake(&self) {
+        let _ = match self {
+            ListenAddr::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(drop),
+            ListenAddr::Tcp(addr) => std::net::TcpStream::connect(addr).map(drop),
+        };
+    }
 }
 
 impl Daemon {
@@ -321,6 +341,7 @@ impl Daemon {
             flight: FlightRecorder::new(flight_capacity),
             pool,
             started: Instant::now(),
+            listeners: Mutex::new(Vec::new()),
         }))
     }
 
@@ -642,11 +663,13 @@ impl Daemon {
         // terminal bookkeeping finishes.
         drop(source);
         drop(lease);
+        // The job turns `Done` only after its result.json is committed
+        // below: whoever sees it terminal (`status`, `wait_idle`) must
+        // never see a job a restart would run again.
         let (summary, telemetry) = {
             let mut g = self.inner.lock().unwrap();
             g.running_replicas -= spec.workers;
             let job = g.jobs.get_mut(&id).unwrap();
-            job.state = JobState::Done;
             job.run_ms = started.elapsed().as_millis() as u64;
             match outcome {
                 Ok(o) => {
@@ -668,7 +691,9 @@ impl Daemon {
             } else {
                 Some(job.telemetry.clone())
             };
-            (job.summary(id), telemetry)
+            let mut summary = job.summary(id);
+            summary.state = JobState::Done;
+            (summary, telemetry)
         };
         // Per-job observability artifacts land before the terminal
         // commit: if the daemon dies between them, the re-run rewrites
@@ -683,6 +708,7 @@ impl Daemon {
             &dir.join("result.json"),
             summary.to_value().to_json().as_bytes(),
         );
+        self.inner.lock().unwrap().jobs.get_mut(&id).unwrap().state = JobState::Done;
         self.emit(EventBody::Terminal {
             id,
             verdict: summary
@@ -716,7 +742,9 @@ impl Daemon {
                 return Err(ServeError::Job(format!("unknown job {id}")));
             };
             match job.state {
-                JobState::Done => return Ok(()), // idempotent
+                // Idempotent; a running job with a verdict is committing it.
+                JobState::Done => return Ok(()),
+                JobState::Running if job.verdict.is_some() => return Ok(()),
                 JobState::Running => {
                     job.cancel.cancel();
                     self.rec.count(Counter::JobsCancelled);
@@ -832,6 +860,36 @@ impl Daemon {
     pub fn request_shutdown(&self) {
         self.inner.lock().unwrap().shutting_down = true;
         self.changed.notify_all();
+        let listeners = self.listeners.lock().unwrap().clone();
+        for addr in &listeners {
+            addr.wake();
+        }
+    }
+
+    /// Runs `accept` until shutdown, handing each connection to `serve`.
+    /// `accept` blocks; [`Daemon::request_shutdown`] wakes it by
+    /// connecting to `addr`. The address is registered before the first
+    /// look at the flag, so a shutdown racing the start still wakes it.
+    fn accept_loop<C>(
+        &self,
+        addr: ListenAddr,
+        mut accept: impl FnMut() -> std::io::Result<C>,
+        mut serve: impl FnMut(C),
+    ) -> std::io::Result<()> {
+        self.listeners.lock().unwrap().push(addr.clone());
+        let mut result = Ok(());
+        while !self.shutting_down() {
+            match accept() {
+                Ok(conn) if !self.shutting_down() => serve(conn),
+                Ok(_) => break,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        self.listeners.lock().unwrap().retain(|a| *a != addr);
+        result
     }
 
     /// Scans the state directory and rebuilds the job table after a
@@ -941,6 +999,7 @@ impl Daemon {
                 .iter()
                 .filter(|(_, job)| {
                     job.state == JobState::Running
+                        && job.verdict.is_none()
                         && job.deadline.is_some_and(|dl| {
                             now > dl + self.cfg.watchdog_grace && !job.cancel.is_cancelled()
                         })
@@ -1040,8 +1099,7 @@ impl Daemon {
             },
             Request::Ping => Response::Pong,
             Request::Shutdown => {
-                self.inner.lock().unwrap().shutting_down = true;
-                self.changed.notify_all();
+                self.request_shutdown();
                 Response::ShuttingDown
             }
         }
@@ -1100,41 +1158,30 @@ impl Daemon {
 
     /// Binds `socket` (removing any stale file) and serves connections
     /// until a shutdown request arrives. Each connection gets its own
-    /// thread; the accept loop polls so shutdown is prompt.
+    /// thread; the accept loop blocks until a client connects or
+    /// shutdown wakes it.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the socket cannot be bound.
+    /// [`ServeError::Io`] if the socket cannot be bound or `accept` fails.
     pub fn serve_unix(self: &Arc<Daemon>, socket: &Path) -> Result<(), ServeError> {
         let _ = std::fs::remove_file(socket);
         let listener = std::os::unix::net::UnixListener::bind(socket)
             .map_err(|e| ServeError::Io(format!("bind {}: {e}", socket.display())))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(format!("nonblocking: {e}")))?;
-        loop {
-            if self.shutting_down() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let me = Arc::clone(self);
-                    std::thread::spawn(move || {
-                        let _ = stream.set_nonblocking(false);
-                        let mut reader =
-                            BufReader::new(stream.try_clone().expect("clone unix stream"));
-                        let mut writer = stream;
-                        let _ = me.serve_stream(&mut reader, &mut writer);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => return Err(ServeError::Io(format!("accept: {e}"))),
-            }
-        }
+        let served = self.accept_loop(
+            ListenAddr::Unix(socket.to_path_buf()),
+            || listener.accept().map(|(stream, _)| stream),
+            |stream| {
+                let me = Arc::clone(self);
+                std::thread::spawn(move || {
+                    let mut reader = BufReader::new(stream.try_clone().expect("clone unix stream"));
+                    let mut writer = stream;
+                    let _ = me.serve_stream(&mut reader, &mut writer);
+                });
+            },
+        );
         let _ = std::fs::remove_file(socket);
-        Ok(())
+        served.map_err(|e| ServeError::Io(format!("accept: {e}")))
     }
 
     /// Binds a plain-TCP Prometheus exposition endpoint on `addr`
@@ -1155,37 +1202,43 @@ impl Daemon {
         let bound = listener
             .local_addr()
             .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServeError::Io(format!("nonblocking: {e}")))?;
         let me = Arc::clone(self);
-        std::thread::spawn(move || loop {
-            if me.shutting_down() {
-                break;
-            }
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    // One-shot exchange: read whatever request bytes
-                    // arrive, answer, close. No keep-alive, no routing.
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                    let mut buf = [0u8; 1024];
-                    let _ = std::io::Read::read(&mut stream, &mut buf);
-                    let body = prometheus_text(&me.metrics_snapshot());
-                    let resp = format!(
-                        "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                        body.len()
-                    );
-                    let _ = stream.write_all(resp.as_bytes());
-                    let _ = stream.flush();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => break,
-            }
-        });
+        std::thread::spawn(move || me.serve_metrics(listener));
         Ok(bound)
+    }
+
+    /// The metrics endpoint's accept loop (ends at shutdown or on an
+    /// accept error).
+    fn serve_metrics(&self, listener: std::net::TcpListener) {
+        let Ok(mut wake) = listener.local_addr() else {
+            return;
+        };
+        if wake.ip().is_unspecified() {
+            // Bound to every interface: wake it through loopback.
+            wake.set_ip(match wake {
+                std::net::SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                std::net::SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = self.accept_loop(
+            ListenAddr::Tcp(wake),
+            || listener.accept().map(|(stream, _)| stream),
+            |mut stream| {
+                // One-shot exchange: read whatever request bytes arrive,
+                // answer, close. No keep-alive, no routing.
+                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+                let mut buf = [0u8; 1024];
+                let _ = std::io::Read::read(&mut stream, &mut buf);
+                let body = prometheus_text(&self.metrics_snapshot());
+                let resp = format!(
+                    "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+                     Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                    body.len()
+                );
+                let _ = stream.write_all(resp.as_bytes());
+                let _ = stream.flush();
+            },
+        );
     }
 }
 
@@ -1468,6 +1521,41 @@ mod tests {
         assert!(matches!(submitted, Response::Submitted { id: 1 }));
         assert!(d.shutting_down());
         assert!(d.wait_idle(Duration::from_secs(60)));
+        let _ = std::fs::remove_dir_all(&d.cfg.state_dir);
+    }
+
+    /// Both accept loops block in `accept`; a `shutdown` request over
+    /// the socket must still end them. The client round trips prove each
+    /// loop is up before the request, so the wake-up (not a start-up
+    /// race) is what ends it.
+    #[test]
+    fn shutdown_ends_the_blocked_accept_loops() {
+        let d = daemon("accept-wake", 1, 1);
+        let socket = d.cfg.state_dir.join("daemon.sock");
+        let unix = {
+            let d = Arc::clone(&d);
+            let socket = socket.clone();
+            std::thread::spawn(move || d.serve_unix(&socket))
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let http = listener.local_addr().unwrap();
+        let metrics = {
+            let d = Arc::clone(&d);
+            std::thread::spawn(move || d.serve_metrics(listener))
+        };
+        let mut client = crate::Client::connect_retry(&socket, Duration::from_secs(30)).unwrap();
+        client.ping().unwrap();
+        let mut scrape = std::net::TcpStream::connect(http).unwrap();
+        scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut page = String::new();
+        std::io::Read::read_to_string(&mut scrape, &mut page).unwrap();
+        assert!(page.starts_with("HTTP/1.0 200 OK"), "{page}");
+
+        client.shutdown().unwrap();
+        unix.join().unwrap().unwrap();
+        metrics.join().unwrap();
+        assert!(!socket.exists(), "socket file removed at exit");
+        assert!(d.listeners.lock().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&d.cfg.state_dir);
     }
 }

@@ -304,14 +304,8 @@ impl Executor {
                     next_pc = if v == 1 { taken_pc } else { next_pc };
                 } else {
                     let not_c = self.pool.not_cond(c);
-                    let sat_t = self
-                        .solver
-                        .check_with(&self.pool, &state.constraints, c)
-                        .is_sat();
-                    let sat_f = self
-                        .solver
-                        .check_with(&self.pool, &state.constraints, not_c)
-                        .is_sat();
+                    let sat_t = self.solver.feasible(&self.pool, &state.constraints, c);
+                    let sat_f = self.solver.feasible(&self.pool, &state.constraints, not_c);
                     state.instret += 1;
                     match (sat_t, sat_f) {
                         (true, true) => {
@@ -394,10 +388,9 @@ impl Executor {
                     }
                     Some(_) => return StepOutcome::ContinueWith(state),
                     None => {
-                        let can_fail = self
-                            .solver
-                            .check_with(&self.pool, &state.constraints, is_zero)
-                            .is_sat();
+                        let can_fail =
+                            self.solver
+                                .feasible(&self.pool, &state.constraints, is_zero);
                         if can_fail {
                             let mut failing = state.clone();
                             failing.assume(is_zero);
@@ -408,10 +401,9 @@ impl Executor {
                                 "assertion can fail on this path".to_string(),
                             );
                             let not_zero = self.pool.not_cond(is_zero);
-                            let survives = self
-                                .solver
-                                .check_with(&self.pool, &state.constraints, not_zero)
-                                .is_sat();
+                            let survives =
+                                self.solver
+                                    .feasible(&self.pool, &state.constraints, not_zero);
                             let continuation = if survives {
                                 state.assume(not_zero);
                                 Some(state)

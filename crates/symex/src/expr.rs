@@ -134,10 +134,18 @@ fn mask(width: u32) -> u64 {
 }
 
 /// Hash-consing arena for terms.
+///
+/// Each term's variable support (the `Var` terms it mentions) is computed
+/// once at intern time: terms are immutable, so the support never
+/// changes. Supports live in one flat arena of sorted ids; a term whose
+/// support equals an operand's shares that operand's span.
 #[derive(Clone, Debug, Default)]
 pub struct TermPool {
     terms: Vec<Term>,
     widths: Vec<u32>,
+    /// `(start, len)` of each term's support in `support_ids`.
+    supports: Vec<(u32, u32)>,
+    support_ids: Vec<TermId>,
     index: HashMap<Term, TermId>,
     var_counter: u32,
 }
@@ -168,6 +176,12 @@ impl TermPool {
         self.widths[id.0 as usize]
     }
 
+    /// The variables `id` mentions, as sorted ids of `Var` terms.
+    pub fn support(&self, id: TermId) -> &[TermId] {
+        let (start, len) = self.supports[id.0 as usize];
+        &self.support_ids[start as usize..(start + len) as usize]
+    }
+
     /// The constant value of `id`, if it is a constant.
     pub fn as_const(&self, id: TermId) -> Option<u64> {
         match self.term(id) {
@@ -182,10 +196,50 @@ impl TermPool {
         }
         let width = self.compute_width(&t);
         let id = TermId(self.terms.len() as u32);
+        let support = self.compute_support(&t, id);
         self.index.insert(t.clone(), id);
         self.terms.push(t);
         self.widths.push(width);
+        self.supports.push(support);
         id
+    }
+
+    /// The support span of a new term `id` built from node `t`.
+    fn compute_support(&mut self, t: &Term, id: TermId) -> (u32, u32) {
+        let parts: &[TermId] = match t {
+            Term::Const { .. } => return (0, 0),
+            Term::Var { .. } => {
+                let start = self.support_ids.len() as u32;
+                self.support_ids.push(id);
+                return (start, 1);
+            }
+            Term::Unary { a, .. } | Term::Extract { a, .. } | Term::ZExt { a, .. } => {
+                return self.supports[a.0 as usize]
+            }
+            Term::Binary { a, b, .. } => &[*a, *b],
+            Term::Concat { hi, lo } => &[*hi, *lo],
+            Term::Ite { c, t, e } => &[*c, *t, *e],
+        };
+        // The union contains every operand's support, so when it is no
+        // larger than the largest one it *is* that one: share the span.
+        let widest = parts
+            .iter()
+            .map(|p| self.supports[p.0 as usize])
+            .max_by_key(|&(_, len)| len)
+            .unwrap_or((0, 0));
+        let mut union: Vec<TermId> = parts
+            .iter()
+            .flat_map(|&p| self.support(p))
+            .copied()
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        if union.len() == widest.1 as usize {
+            return widest;
+        }
+        let start = self.support_ids.len() as u32;
+        self.support_ids.extend_from_slice(&union);
+        (start, union.len() as u32)
     }
 
     fn compute_width(&self, t: &Term) -> u32 {

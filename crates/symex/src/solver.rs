@@ -68,6 +68,16 @@ pub struct SolverStats {
     pub time_us: u64,
 }
 
+impl SolverStats {
+    /// Adds `other`'s counts to these.
+    pub fn merge(&mut self, other: &SolverStats) {
+        self.queries += other.queries;
+        self.sat += other.sat;
+        self.unsat += other.unsat;
+        self.time_us += other.time_us;
+    }
+}
+
 /// The bit-vector decision procedure (bit-blasting + CDCL).
 #[derive(Clone, Debug, Default)]
 pub struct BvSolver {
@@ -84,47 +94,57 @@ impl BvSolver {
     /// Checks the conjunction of 1-bit `assertions`.
     pub fn check(&mut self, pool: &TermPool, assertions: &[TermId]) -> QueryResult {
         let start = Instant::now();
-        // Fast path: constant-false assertion.
-        for &a in assertions {
-            if pool.as_const(a) == Some(0) {
-                self.stats.queries += 1;
-                self.stats.unsat += 1;
-                self.stats.time_us += start.elapsed().as_micros() as u64;
-                return QueryResult::Unsat;
-            }
-        }
-        let mut blaster = Blaster::new(pool);
-        for &a in assertions {
-            if pool.as_const(a) == Some(1) {
-                continue;
-            }
-            blaster.assert_true(a);
-        }
-        let result = match blaster.solve() {
-            Some(env) => {
-                self.stats.sat += 1;
-                QueryResult::Sat(Model { values: env })
-            }
-            None => {
-                self.stats.unsat += 1;
-                QueryResult::Unsat
-            }
+        let result = match Self::solve(pool, assertions) {
+            Some(env) => QueryResult::Sat(Model { values: env }),
+            None => QueryResult::Unsat,
         };
-        self.stats.queries += 1;
-        self.stats.time_us += start.elapsed().as_micros() as u64;
+        self.record(start, result.is_sat());
         result
     }
 
-    /// Checks `assertions ∧ extra`.
-    pub fn check_with(
-        &mut self,
-        pool: &TermPool,
-        assertions: &[TermId],
-        extra: TermId,
-    ) -> QueryResult {
-        let mut all = assertions.to_vec();
-        all.push(extra);
-        self.check(pool, &all)
+    /// Decides `constraints ∧ extra` without producing a model, blasting
+    /// only the constraints that share a variable with `extra`, directly
+    /// or through other constraints (KLEE's constraint independence).
+    ///
+    /// The answer equals `check(constraints ++ [extra]).is_sat()` provided
+    /// `constraints` alone are satisfiable: the constraints left out then
+    /// form a satisfiable set over variables the slice never mentions, so
+    /// any model of the slice extends to all of them. A live symbolic
+    /// state's path condition always is, because it only ever grows by a
+    /// condition that was just found feasible. Counts as one query, and
+    /// the slicing is part of its time.
+    pub fn feasible(&mut self, pool: &TermPool, constraints: &[TermId], extra: TermId) -> bool {
+        let start = Instant::now();
+        let mut slice = independent_slice(pool, constraints, extra);
+        slice.push(extra);
+        let sat = Self::solve(pool, &slice).is_some();
+        self.record(start, sat);
+        sat
+    }
+
+    /// Bit-blasts and solves the conjunction of `assertions`.
+    fn solve(pool: &TermPool, assertions: &[TermId]) -> Option<HashMap<String, u64>> {
+        // Fast path: constant-false assertion.
+        if assertions.iter().any(|&a| pool.as_const(a) == Some(0)) {
+            return None;
+        }
+        let mut blaster = Blaster::new(pool);
+        for &a in assertions {
+            if pool.as_const(a) != Some(1) {
+                blaster.assert_true(a);
+            }
+        }
+        blaster.solve()
+    }
+
+    fn record(&mut self, start: Instant, sat: bool) {
+        self.stats.queries += 1;
+        if sat {
+            self.stats.sat += 1;
+        } else {
+            self.stats.unsat += 1;
+        }
+        self.stats.time_us += start.elapsed().as_micros() as u64;
     }
 
     /// Enumerates up to `max` distinct values of `term` under
@@ -155,6 +175,37 @@ impl BvSolver {
         }
         found
     }
+}
+
+/// The constraints that transitively share a variable with `extra`, in
+/// their original order.
+fn independent_slice(pool: &TermPool, constraints: &[TermId], extra: TermId) -> Vec<TermId> {
+    let mut vars: Vec<TermId> = pool.support(extra).to_vec();
+    let mut taken = vec![false; constraints.len()];
+    // Each pass takes every constraint touching `vars` and widens `vars`
+    // by its support; a pass that widens nothing ends the closure.
+    let mut grew = !vars.is_empty();
+    while grew {
+        grew = false;
+        for (i, &c) in constraints.iter().enumerate() {
+            let support = pool.support(c);
+            if taken[i] || !support.iter().any(|v| vars.binary_search(v).is_ok()) {
+                continue;
+            }
+            taken[i] = true;
+            for &v in support {
+                if let Err(at) = vars.binary_search(&v) {
+                    vars.insert(at, v);
+                    grew = true;
+                }
+            }
+        }
+    }
+    constraints
+        .iter()
+        .zip(taken)
+        .filter_map(|(&c, t)| t.then_some(c))
+        .collect()
 }
 
 #[cfg(test)]
